@@ -42,7 +42,8 @@ void BM_BroadcastCacheHit(benchmark::State& state) {
   engine::BroadcastStore store;
   engine::NetworkModel net;
   net.time_scale = 0.0;
-  engine::BroadcastCache cache(&store, &net, nullptr);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  engine::BroadcastCache cache(&store, nullptr, &wire->channel(0));
   const auto id =
       store.put(engine::Payload::wrap<linalg::DenseVector>(linalg::DenseVector(1024), 8192));
   (void)cache.get_or_fetch(id);

@@ -16,6 +16,7 @@
 #include "harness.hpp"
 #include "store/model_cache.hpp"
 #include "store/model_store.hpp"
+#include "transport/transport.hpp"
 
 using namespace asyncml;
 
@@ -47,12 +48,13 @@ CaseResult run_case(const engine::BroadcastStore& broadcasts,
                     int iters) {
   engine::NetworkModel net;
   net.time_scale = 0.0;  // measure CPU cost; bytes are counted, not slept
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
   CaseResult out;
   double total_ms = 0.0;
   for (int it = -3; it < iters; ++it) {  // negative iterations warm the caches
     // A warm worker: it materialized v−1 last round, v is new to it.
     engine::ClusterMetrics metrics(1);
-    engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
+    engine::BroadcastCache bcache(&broadcasts, &metrics, &wire->channel(0));
     store::VersionedModelCache cache(&model_store, &bcache, &metrics);
     (void)cache.value_at(head - 1);
     metrics.broadcast_bytes.reset();

@@ -28,6 +28,7 @@
 #include "store/model_cache.hpp"
 #include "store/model_store.hpp"
 #include "store/sharded_store.hpp"
+#include "transport/transport.hpp"
 
 using namespace asyncml;
 
@@ -61,7 +62,8 @@ std::uint64_t shard_step_bytes(const engine::BroadcastStore& broadcasts,
   engine::NetworkModel net;
   net.time_scale = 0.0;
   engine::ClusterMetrics metrics(1);
-  engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  engine::BroadcastCache bcache(&broadcasts, &metrics, &wire->channel(0));
   store::VersionedModelCache cache(&shard, &bcache, &metrics);
   (void)cache.value_at(*at_prev);
   metrics.broadcast_bytes.reset();

@@ -67,25 +67,18 @@ Payload BroadcastCache::admit(BroadcastId id, const Payload& payload,
 
 Payload BroadcastCache::charge_and_cache(BroadcastId id, Payload payload,
                                          BroadcastClass cls) {
-  if (channel_ != nullptr) {
-    // Round-trip through the worker's wire. The in-process backend hands back
-    // the modeled charge to sleep (bit-identical to the legacy path below);
-    // socket backends spend real wall time and return the decoded echo,
-    // which is what gets cached. A dead wire keeps the local copy — the
-    // values are identical either way, and the worker fail-stops on its next
-    // result ship.
-    support::StatusOr<transport::FetchReceipt> fetched =
-        channel_->fetch_payload(payload, cls);
-    if (fetched.is_ok()) {
-      payload = std::move(fetched.value().payload);
-      if (fetched.value().charge_ms > 0.0) {
-        support::precise_sleep_ms(fetched.value().charge_ms);
-      }
-    } else if (net_ != nullptr) {
-      support::precise_sleep_ms(net_->transfer_ms(payload.bytes()));
+  // Round-trip through the worker's wire. The in-process backend hands back
+  // the modeled charge to sleep; socket backends spend real wall time and
+  // return the decoded echo, which is what gets cached. A dead wire keeps the
+  // local copy — the values are identical either way, and the worker
+  // fail-stops on its next result ship.
+  support::StatusOr<transport::FetchReceipt> fetched =
+      channel_->fetch_payload(payload, cls);
+  if (fetched.is_ok()) {
+    payload = std::move(fetched.value().payload);
+    if (fetched.value().charge_ms > 0.0) {
+      support::precise_sleep_ms(fetched.value().charge_ms);
     }
-  } else if (net_ != nullptr) {
-    support::precise_sleep_ms(net_->transfer_ms(payload.bytes()));
   }
   if (metrics_ != nullptr) metrics_->count_broadcast_fetch(cls, payload.bytes());
   std::lock_guard lock(mutex_);

@@ -4,7 +4,7 @@
 //
 // Mirrors Spark's broadcast-variable design: the driver registers a value
 // under a unique id; tasks carry only the id; the first access on a worker
-// fetches the value (charged to the network model) and caches it, so repeated
+// fetches the value over its transport channel and caches it, so repeated
 // accesses are free.  The ASYNCbroadcaster of the paper builds on this by
 // keying history entries as (broadcast id, version) pairs — see
 // core/history.hpp.
@@ -14,7 +14,6 @@
 #include <unordered_map>
 
 #include "engine/metrics.hpp"
-#include "engine/network.hpp"
 #include "engine/payload.hpp"
 #include "engine/types.hpp"
 
@@ -47,19 +46,18 @@ class BroadcastStore {
   BroadcastId next_id_ = 1;
 };
 
-/// Per-worker cache with fetch-through to the store. A miss charges the
-/// network model (sleep) and counts fetched bytes; a hit is free — this is
-/// exactly the saving the ASYNCbroadcaster exploits for historical gradients.
-///
-/// With a transport channel attached, a miss instead round-trips the payload
-/// over the worker's wire (transport/transport.hpp): the in-process backend
-/// returns the same modeled charge to sleep, the socket backends spend real
-/// wall time and hand back the decoded echo, which is what gets cached.
+/// Per-worker cache with fetch-through to the store. A miss round-trips the
+/// payload over the worker's wire (transport/transport.hpp) and counts the
+/// fetched bytes; a hit is free — this is exactly the saving the
+/// ASYNCbroadcaster exploits for historical gradients. The in-process
+/// backend returns the network model's charge to sleep, the socket backends
+/// spend real wall time and hand back the decoded echo, which is what gets
+/// cached. `channel` is required.
 class BroadcastCache {
  public:
-  BroadcastCache(const BroadcastStore* store, const NetworkModel* net,
-                 ClusterMetrics* metrics, transport::Channel* channel = nullptr)
-      : store_(store), net_(net), metrics_(metrics), channel_(channel) {}
+  BroadcastCache(const BroadcastStore* store, ClusterMetrics* metrics,
+                 transport::Channel* channel)
+      : store_(store), metrics_(metrics), channel_(channel) {}
 
   /// Returns the payload for `id`, fetching and caching on first access.
   /// `cls` labels the charged bytes for the base/delta traffic split.
@@ -91,7 +89,6 @@ class BroadcastCache {
   Payload charge_and_cache(BroadcastId id, Payload payload, BroadcastClass cls);
 
   const BroadcastStore* store_;
-  const NetworkModel* net_;
   ClusterMetrics* metrics_;
   transport::Channel* channel_;
   mutable std::mutex mutex_;

@@ -43,7 +43,6 @@ Cluster::Cluster(Config config)
   for (WorkerId w = 0; w < config_.num_workers; ++w) {
     Worker::Deps deps;
     deps.store = &store_;
-    deps.network = &config_.network;
     deps.delay = delay_owned_.get();
     deps.metrics = metrics_.get();
     deps.results = &results_;

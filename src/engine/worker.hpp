@@ -7,8 +7,8 @@
 //   1. records wait time (time since it submitted its previous result),
 //   2. runs the task function with a deterministic per-task RNG,
 //   3. pads execution to the straggler-scaled service floor,
-//   4. charges the result transfer to the network model and pushes the
-//      TaskResult to the driver's result queue.
+//   4. ships the result over its transport channel, sleeps any modeled
+//      transfer charge and pushes the TaskResult to the driver's result queue.
 // Errors (injected faults, exceptions) become non-OK TaskResults; nothing
 // unwinds across the thread boundary.
 //
@@ -30,7 +30,6 @@
 #include "engine/delay_model.hpp"
 #include "engine/fault.hpp"
 #include "engine/metrics.hpp"
-#include "engine/network.hpp"
 #include "engine/task.hpp"
 #include "support/blocking_queue.hpp"
 
@@ -48,7 +47,6 @@ class Worker {
  public:
   struct Deps {
     const BroadcastStore* store = nullptr;
-    const NetworkModel* network = nullptr;
     const DelayModel* delay = nullptr;
     ClusterMetrics* metrics = nullptr;
     support::BlockingQueue<TaskResult>* results = nullptr;
@@ -56,10 +54,9 @@ class Worker {
     /// Cluster-owned span recorder; checked per task via a relaxed atomic
     /// and otherwise free when telemetry is disabled.
     telemetry::TelemetryRecorder* telemetry = nullptr;
-    /// This worker's transport channel (transport/transport.hpp). Null keeps
-    /// the legacy modeled-sleep path; set, every result and broadcast fetch
-    /// round-trips through it, and a dead wire fail-stops the worker exactly
-    /// like a kCrashWorker fault.
+    /// This worker's transport channel (transport/transport.hpp); required.
+    /// Every result and broadcast fetch round-trips through it, and a dead
+    /// wire fail-stops the worker exactly like a kCrashWorker fault.
     transport::Channel* channel = nullptr;
   };
 

@@ -1,6 +1,7 @@
 #include "metrics/report.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -21,7 +22,15 @@ void Table::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(
 
 std::string Table::num(double v, int precision) {
   std::ostringstream os;
-  os << std::setprecision(precision) << v;
+  // The default float format turns scientific once rounding to `precision`
+  // significant digits reaches 10^precision, printing 1234.5 at precision 1
+  // as "1e+03"; from there on print every integer digit instead.
+  if (std::abs(v) >= std::pow(10.0, precision) - 0.5) {
+    os << std::fixed << std::setprecision(0);
+  } else {
+    os << std::setprecision(precision);
+  }
+  os << v;
   return os.str();
 }
 

@@ -27,7 +27,9 @@ class Table {
   void add_row(std::vector<std::string> cells);
   void print(std::ostream& out) const;
 
-  /// Formats a double with `precision` significant digits.
+  /// Formats a double with `precision` significant digits, but never drops
+  /// integer digits: values that would round to 10^precision or more print
+  /// in fixed notation (2e5 at precision 3 prints "200000", not "2e+05").
   [[nodiscard]] static std::string num(double v, int precision = 4);
 
  private:

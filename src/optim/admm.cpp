@@ -2,10 +2,7 @@
 
 #include "core/async_context.hpp"
 #include "linalg/blas.hpp"
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
 #include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
 
 namespace asyncml::optim {
 
@@ -29,10 +26,6 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
                                const AdmmConfig& config) {
   const std::size_t dim = workload.dim();
   const int partitions = workload.num_partitions();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, partitions, 1.0);
 
   // Default local step from the ρ-regularized subproblem's smoothness:
   // L_local ≈ 2·E‖x‖² (mean-normalized partition loss) + ρ.
@@ -46,15 +39,10 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
                                 ? config.local_step
                                 : 1.0 / (2.0 * mean_norm_sq + config.rho);
 
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
+  detail::SolverRun run(cluster, workload, config);
 
   core::AsyncContext ac(cluster, partitions);
   auto state = std::make_shared<AdmmLocalState>(partitions, dim);
-
-  core::SubmitOptions opts;
-  opts.service_floor_ms = service_ms;
-  opts.rng_seed = config.seed;
 
   linalg::DenseVector z(dim);
   linalg::DenseVector share_sum(dim);  // Σ_p (x_p + u_p), updated incrementally
@@ -102,23 +90,11 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
           const std::size_t bytes = share.size_bytes();
           return engine::Payload::wrap<linalg::DenseVector>(std::move(share), bytes);
         });
-    return [this_fn = std::move(fn), &ac, opts](engine::PartitionId p) {
-      engine::TaskSpec spec;
-      spec.partition = p;
-      spec.model_version = ac.current_version();
-      spec.fn = this_fn;
-      spec.service_floor_ms = opts.service_floor_ms;
-      spec.rng_seed = opts.rng_seed;
-      return spec;
-    };
+    return ac.make_fn_factory(std::move(fn), run.opts);
   };
 
   core::AsyncScheduler::TaskFactory factory = make_factory(z_br);
-
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(0, 0.0, z);
+  run.start(0, z);
 
   detail::dispatch_live(ac, config.barrier, factory);
 
@@ -140,24 +116,11 @@ RunResult AsyncAdmmSolver::run(engine::Cluster& cluster, const Workload& workloa
     ac.advance_version();
     z_br = ac.async_broadcast(z);
     factory = make_factory(z_br);
-    recorder.maybe_snapshot(updates, watch.elapsed_ms(), z);
+    run.snapshot(updates, z);
 
     detail::dispatch_live(ac, config.barrier, factory);
   }
-  recorder.snapshot(updates, watch.elapsed_ms(), z);
-
-  RunResult result;
-  result.algorithm = "AsyncADMM";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = updates;
-  result.tasks = updates;
-  result.final_w = z;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish("AsyncADMM", z, updates, updates);
 }
 
 }  // namespace asyncml::optim

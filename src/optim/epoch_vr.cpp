@@ -1,46 +1,31 @@
 #include "optim/epoch_vr.hpp"
 
 #include "core/async_context.hpp"
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
 #include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
 
 namespace asyncml::optim {
 
 RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
                              const SolverConfig& config) {
   const std::size_t dim = workload.dim();
-  const double batch_service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
-                                        config.batch_fraction, /*saga_two_pass=*/true);
-  // The full-gradient pass touches the whole partition.
-  const double full_service_ms = config.cost.task_service_ms(
-      *workload.dataset, workload.num_partitions(), 1.0);
   const double step_scale =
       config.async_step_scale.value_or(1.0 / static_cast<double>(cluster.num_workers()));
-
-  const linalg::GradVectorConfig grad_cfg = detail::grad_config(workload, config);
-  // Per-partition shard-support sets (sparse workloads on a sharded plane).
-  const auto support_table = detail::shard_support_table(workload, config);
-
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
+  detail::SolverRun run(cluster, workload, config, /*saga_two_pass=*/true);
+  // The full-gradient pass touches the whole partition.
+  core::SubmitOptions full_opts = run.opts;
+  full_opts.service_floor_ms = config.cost.task_service_ms(
+      *workload.dataset, workload.num_partitions(), 1.0);
 
   core::AsyncContext ac(cluster, workload.num_partitions(), config.store_config);
   ac.scheduler().set_policy(detail::scheduler_policy(workload, config));
 
   linalg::DenseVector w(dim);
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(0, 0.0, w);
+  run.start(0, w);
 
   std::uint64_t updates = 0;
+  bool stopped = false;
   auto comb = detail::grad_comb();
-  while (updates < config.updates) {
+  while (!stopped && updates < config.updates) {
     // ---- Epoch head: synchronous full gradient at the snapshot w̃. --------
     // The previous epoch's history (its snapshot and inner versions) is dead
     // once the tail drain left the cluster quiet; compact it.
@@ -49,12 +34,9 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
     core::HistoryBroadcast snapshot_br = ac.async_broadcast(snapshot);
     const engine::Version snapshot_version = snapshot_br.version();
 
-    core::SubmitOptions full_opts;
-    full_opts.service_floor_ms = full_service_ms;
-    full_opts.rng_seed = config.seed;
     auto full_results = ac.sync_round_fn(
-        detail::grad_task_fn(workload, config, snapshot_br, grad_cfg,
-                             /*fraction=*/std::nullopt, support_table),
+        detail::grad_task_fn(workload, config, snapshot_br, run.grad_cfg,
+                             /*fraction=*/std::nullopt, run.support),
         full_opts);
     GradCount mu_sum;
     for (core::TaggedResult& r : full_results) {
@@ -66,16 +48,12 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
     }
 
     // ---- Asynchronous inner loop. -----------------------------------------
-    core::SubmitOptions opts;
-    opts.service_floor_ms = batch_service_ms;
-    opts.rng_seed = config.seed;
-
     core::HistoryBroadcast w_br = ac.handle_for(snapshot_version);
     auto rebuild_factory = [&] {
       return ac.make_fn_factory(
-          detail::svrg_task_fn(workload, config, w_br, snapshot_br, grad_cfg,
-                               config.batch_fraction, support_table),
-          opts);
+          detail::svrg_task_fn(workload, config, w_br, snapshot_br, run.grad_cfg,
+                               config.batch_fraction, run.support),
+          run.opts);
     };
     core::AsyncScheduler::TaskFactory factory = rebuild_factory();
     detail::dispatch_live(ac, config.barrier, factory);
@@ -83,7 +61,8 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
     std::uint64_t inner = 0;
     while (inner < config.epoch_inner_updates && updates < config.updates) {
       auto collected = ac.collect(&factory);
-      if (!collected.has_value()) return RunResult{};  // context stopped
+      stopped = !collected.has_value();  // context stopped: partial result
+      if (stopped) break;
 
       const GradHist& g = collected->result.payload.get<GradHist>();
       if (g.count > 0) {
@@ -98,7 +77,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
       ac.advance_version();
       w_br = ac.async_broadcast(w);
       factory = rebuild_factory();
-      recorder.maybe_snapshot(updates, watch.elapsed_ms(), w);
+      run.snapshot(updates, w);
       // In-flight inner tasks still read the epoch's w̃ — floor the GC there.
       detail::maybe_gc_history(ac, config, updates, snapshot_version);
       if (inner < config.epoch_inner_updates && updates < config.updates) {
@@ -108,9 +87,10 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
 
     // ---- Epoch tail: drain in-flight inner tasks so the next epoch's
     // synchronous stage sees a quiet cluster (Listing 3's epoch boundary). --
-    while (ac.coordinator().total_outstanding() > 0 || ac.has_next()) {
+    while (!stopped && (ac.coordinator().total_outstanding() > 0 || ac.has_next())) {
       auto leftover = ac.collect(&factory);
-      if (!leftover.has_value()) break;
+      stopped = !leftover.has_value();
+      if (stopped) break;
       // Leftover inner results are still valid SVRG updates; apply them.
       const GradHist& g = leftover->result.payload.get<GradHist>();
       if (g.count > 0) {
@@ -121,24 +101,11 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
         linalg::axpy(-config.step(updates) * step_scale, direction.span(), w.span());
         ++updates;
         ac.advance_version();
-        recorder.maybe_snapshot(updates, watch.elapsed_ms(), w);
+        run.snapshot(updates, w);
       }
     }
   }
-  recorder.snapshot(updates, watch.elapsed_ms(), w);
-
-  RunResult result;
-  result.algorithm = "EpochVR";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = updates;
-  result.tasks = updates;
-  result.final_w = w;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish("EpochVR", w, updates, updates);
 }
 
 }  // namespace asyncml::optim

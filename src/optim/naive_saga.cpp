@@ -4,10 +4,7 @@
 
 #include "core/history.hpp"  // SampleVersionTable reused as the index table
 #include "engine/actions.hpp"
-#include "metrics/trace.hpp"
-#include "optim/objective.hpp"
 #include "optim/solver_util.hpp"
-#include "support/stopwatch.hpp"
 
 namespace asyncml::optim {
 
@@ -38,18 +35,9 @@ struct TableHandle {
 
 RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workload,
                                const SolverConfig& config) {
-  const std::size_t dim = workload.dim();
   const std::size_t n = workload.n();
-  const double service_ms =
-      config.service_floor_ms > 0.0
-          ? config.service_floor_ms
-          : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
-                                        config.batch_fraction, /*saga_two_pass=*/true);
-
-  const linalg::GradVectorConfig grad_cfg = detail::grad_config(workload, config);
-
-  detail::reset_run_metrics(cluster.metrics());
-  detail::begin_telemetry(cluster, config);
+  detail::SolverRun run(cluster, workload, config, /*saga_two_pass=*/true);
+  const linalg::GradVectorConfig& grad_cfg = run.grad_cfg;
 
   const engine::Rdd<data::LabeledPoint> sampled =
       workload.points.sample(config.batch_fraction);
@@ -58,15 +46,11 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
   auto index_table =
       std::make_shared<core::SampleVersionTable>(n, detail::kNeverVisited);
 
-  linalg::DenseVector w(dim);
-  linalg::DenseVector alpha_bar(dim);
+  linalg::DenseVector w(workload.dim());
+  linalg::DenseVector alpha_bar(workload.dim());
   ModelTable table;
   table.models.push_back(w);  // "store w in table" (Algorithm 3 line 2)
-
-  metrics::TraceRecorder recorder(config.eval_every);
-  recorder.reserve_for(config.updates);
-  support::Stopwatch watch;
-  recorder.snapshot(0, 0.0, w);
+  run.start(0, w);
 
   auto comb = detail::grad_hist_comb();
   engine::BroadcastId previous_id = 0;
@@ -120,7 +104,7 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
     // counter starts at 1), so the two trajectories are directly comparable.
     stage.seq = k + 1;
     stage.model_version = k;
-    stage.service_floor_ms = service_ms;
+    stage.service_floor_ms = run.opts.service_floor_ms;
     stage.rng_seed = config.seed;
     const GradHist total = engine::aggregate_sync_fn(
         cluster, std::move(fn), workload.num_partitions(),
@@ -138,25 +122,13 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
       total.hist.scale_into(-inv_n, alpha_bar.span());
     }
     table.models.push_back(w);  // "update table" (Algorithm 3 line 8)
-    recorder.maybe_snapshot(k + 1, watch.elapsed_ms(), w);
+    run.snapshot(k + 1, w);
 
     if (previous_id != 0) cluster.store().erase(previous_id);
     previous_id = table_br.id();
   }
-  recorder.snapshot(config.updates, watch.elapsed_ms(), w);
-
-  RunResult result;
-  result.algorithm = "NaiveSAGA";
-  result.wall_ms = watch.elapsed_ms();
-  result.updates = config.updates;
-  result.tasks = cluster.metrics().tasks_completed.load();
-  result.final_w = w;
-  detail::fill_run_stats(result, cluster.metrics());
-  detail::finish_telemetry(result, cluster, config);
-  result.trace = recorder.finalize([&](const linalg::DenseVector& model) {
-    return full_objective(*workload.dataset, *workload.loss, model);
-  });
-  return result;
+  return run.finish("NaiveSAGA", w, config.updates,
+                    cluster.metrics().tasks_completed.load());
 }
 
 }  // namespace asyncml::optim

@@ -1,14 +1,17 @@
 #pragma once
 
-// Internals shared by the solvers: run-metric bookkeeping and the gradient
-// sequence operators (the `map` bodies of Algorithms 1–4).
+// Internals shared by the solvers: the SolverRun lifecycle (run-metric and
+// telemetry bookkeeping) and the gradient sequence operators (the `map`
+// bodies of Algorithms 1–4).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
+#include <type_traits>
 
 #include "core/async_context.hpp"
 #include "core/history.hpp"
@@ -17,12 +20,15 @@
 #include "engine/metrics.hpp"
 #include "linalg/blas.hpp"
 #include "linalg/grad_vector.hpp"
+#include "metrics/trace.hpp"
 #include "optim/checkpoint.hpp"
 #include "optim/grad_batch.hpp"
 #include "optim/loss.hpp"
+#include "optim/objective.hpp"
 #include "optim/payloads.hpp"
 #include "optim/run_result.hpp"
 #include "optim/solver_config.hpp"
+#include "support/stopwatch.hpp"
 #include "support/thread_util.hpp"
 
 namespace asyncml::optim::detail {
@@ -104,39 +110,6 @@ inline void reset_run_metrics(engine::ClusterMetrics& m) {
   m.disk.reset();
 }
 
-inline void fill_run_stats(RunResult& r, const engine::ClusterMetrics& m) {
-  const support::Histogram waits = m.total_wait_histogram();
-  r.mean_wait_ms = waits.mean_ns() / 1e6;
-  r.p95_wait_ms = waits.quantile_ns(0.95) / 1e6;
-  r.broadcast_bytes = m.broadcast_bytes.load();
-  r.broadcast_base_bytes = m.broadcast_base_bytes.load();
-  r.broadcast_delta_bytes = m.broadcast_delta_bytes.load();
-  r.result_bytes = m.result_bytes.load();
-  r.broadcast_fetches = m.broadcast_fetches.load();
-  r.broadcast_hits = m.broadcast_hits.load();
-  const std::uint64_t completed = m.tasks_completed.load();
-  r.mean_task_compute_ms =
-      completed > 0
-          ? static_cast<double>(m.task_compute_ns.load()) / 1e6 /
-                static_cast<double>(completed)
-          : 0.0;
-  r.migration_bytes = m.migration_bytes.load();
-  r.partitions_stolen = m.partitions_stolen.load();
-  r.tasks_speculated = m.tasks_speculated.load();
-  r.duplicates_dropped = m.duplicate_results.load();
-  r.shard_reads = m.shard_reads.load();
-  r.shard_reads_partial = m.shard_reads_partial.load();
-  r.shard_touches = m.shard_touches.load();
-  for (std::size_t ch = 0; ch < engine::kNumWireChannels; ++ch) {
-    const auto& w = m.wire(static_cast<engine::WireChannel>(ch));
-    r.wire[ch] = {w.frames.load(), w.bytes_sent.load(), w.bytes_received.load()};
-  }
-  r.disk = {m.disk.blob_writes.load(),   m.disk.blob_write_bytes.load(),
-            m.disk.blob_reads.load(),    m.disk.blob_read_bytes.load(),
-            m.disk.lru_hits.load(),      m.disk.quarantines.load(),
-            m.disk.recovery_walks.load(), m.disk.manifest_appends.load()};
-}
-
 /// Arms the cluster's span recorder for this run when
 /// config.telemetry.enabled; otherwise a no-op — the recorder stays inert
 /// and no clock is read anywhere on the task path. Must run before the
@@ -177,20 +150,176 @@ inline void finish_telemetry(RunResult& r, engine::Cluster& cluster,
   return policy;
 }
 
-/// Loads config.resume_from when set. A malformed or unreadable checkpoint
-/// aborts loudly: silently starting from zero would masquerade as a
-/// successful resume with a wrong trajectory.
-[[nodiscard]] inline std::optional<SolverCheckpoint> maybe_resume(
-    const SolverConfig& config) {
-  if (config.resume_from.empty()) return std::nullopt;
-  auto loaded = load_checkpoint(config.resume_from);
-  if (!loaded.is_ok()) {
-    std::fprintf(stderr, "maybe_resume: cannot resume from '%s': %s\n",
-                 config.resume_from.c_str(), loaded.status().to_string().c_str());
-    std::abort();
-  }
-  return std::move(loaded).value();
+/// Scheduler policy for solvers whose tasks write history (SampleVersionTable
+/// updates). Those tasks are not idempotent, so nothing may re-execute them:
+/// speculation (racing replicas) and lost-task rescue are forced off
+/// regardless of the config knobs. Stealing never duplicates execution and
+/// stays available (docs/SCHEDULING.md, "Composition caveats").
+[[nodiscard]] inline core::SchedulerPolicy history_task_policy(
+    const Workload& workload, const SolverConfig& config) {
+  core::SchedulerPolicy policy = scheduler_policy(workload, config);
+  policy.speculation_factor = 0.0;
+  policy.lost_task_factor = 0.0;
+  return policy;
 }
+
+/// One solver run's bookkeeping, shared by every engine-path solver so that
+/// a solver body holds only its paper listing:
+///
+///   SolverRun run(cluster, workload, config);  // reset metrics, arm telemetry
+///   core::AsyncContext ac(...);                 // the solver owns its context
+///   std::uint64_t k = run.resume(ac, w);        // optional
+///   run.start(k, w);                            // wall_ms starts here ...
+///   ... run.snapshot(k, w) after each update ...
+///   return run.finish("ASGD", w, k, tasks);     // ... and ends here
+///
+/// Templated on the config type (SolverConfig, AdmmConfig) like
+/// begin_telemetry/finish_telemetry. The destructor disarms a recorder the
+/// run left armed on any exit that skipped finish(), so the cluster can host
+/// an untraced run next.
+template <typename Config>
+class SolverRun {
+  static constexpr bool kMiniBatch = std::is_same_v<Config, SolverConfig>;
+
+ public:
+  /// Derives the run's task settings, then resets the run metrics and arms
+  /// telemetry — before the solver builds its AsyncContext, so the first
+  /// dispatch already sees fresh counters and rings. `saga_two_pass` charges
+  /// the modeled service time of a task computing fresh and historical
+  /// gradients.
+  SolverRun(engine::Cluster& cluster, const Workload& workload, const Config& config,
+            bool saga_two_pass = false)
+      : cluster_(cluster),
+        workload_(workload),
+        config_(config),
+        recorder_(config.eval_every),
+        armed_(config.telemetry.enabled) {
+    double fraction = 1.0;  // configs without mini-batches run full passes (ADMM)
+    if constexpr (kMiniBatch) {
+      fraction = config.batch_fraction;
+      grad_cfg = grad_config(workload, config);
+      support = shard_support_table(workload, config);
+    }
+    opts.service_floor_ms =
+        config.service_floor_ms > 0.0
+            ? config.service_floor_ms
+            : config.cost.task_service_ms(*workload.dataset, workload.num_partitions(),
+                                          fraction, saga_two_pass);
+    opts.rng_seed = config.seed;
+    reset_run_metrics(cluster.metrics());
+    begin_telemetry(cluster, config);
+    recorder_.reserve_for(config.updates);
+  }
+
+  ~SolverRun() {
+    if (armed_) cluster_.telemetry().disable();
+  }
+
+  SolverRun(const SolverRun&) = delete;
+  SolverRun& operator=(const SolverRun&) = delete;
+
+  /// Loads config.resume_from when set: restores the model into `w` and the
+  /// version and dispatch-round streams into `ac`, and returns the first
+  /// update index (0 on a fresh start). A malformed or unreadable checkpoint
+  /// aborts loudly: silently starting from zero would masquerade as a
+  /// successful resume with a wrong trajectory.
+  [[nodiscard]] std::uint64_t resume(core::AsyncContext& ac, linalg::DenseVector& w)
+    requires kMiniBatch
+  {
+    if (config_.resume_from.empty()) return 0;
+    auto loaded = load_checkpoint(config_.resume_from);
+    if (!loaded.is_ok()) {
+      std::fprintf(stderr, "SolverRun: cannot resume from '%s': %s\n",
+                   config_.resume_from.c_str(), loaded.status().to_string().c_str());
+      std::abort();
+    }
+    SolverCheckpoint cp = std::move(loaded).value();
+    w = std::move(cp.model);
+    ac.restore(cp.model_version, cp.round);
+    return cp.update_index;
+  }
+
+  /// Starts the timed span: RunResult::wall_ms and the trace's time axis
+  /// count from here, with the first trace point at update `k0`.
+  void start(std::uint64_t k0, const linalg::DenseVector& w) {
+    watch_.reset();
+    recorder_.snapshot(k0, 0.0, w);
+  }
+
+  /// Trace point after update `k`, on the config.eval_every cadence.
+  void snapshot(std::uint64_t k, const linalg::DenseVector& w) {
+    recorder_.maybe_snapshot(k, watch_.elapsed_ms(), w);
+  }
+
+  /// Ends the run: last trace point, wall time, the cluster's run counters,
+  /// the telemetry report (disarming the recorder) and the objective trace.
+  [[nodiscard]] RunResult finish(std::string algorithm, const linalg::DenseVector& w,
+                                 std::uint64_t updates, std::uint64_t tasks) {
+    recorder_.snapshot(updates, watch_.elapsed_ms(), w);
+    RunResult r;
+    r.algorithm = std::move(algorithm);
+    r.wall_ms = watch_.elapsed_ms();
+    r.updates = updates;
+    r.tasks = tasks;
+    r.final_w = w;
+    const engine::ClusterMetrics& m = cluster_.metrics();
+    const support::Histogram waits = m.total_wait_histogram();
+    r.mean_wait_ms = waits.mean_ns() / 1e6;
+    r.p95_wait_ms = waits.quantile_ns(0.95) / 1e6;
+    r.broadcast_bytes = m.broadcast_bytes.load();
+    r.broadcast_base_bytes = m.broadcast_base_bytes.load();
+    r.broadcast_delta_bytes = m.broadcast_delta_bytes.load();
+    r.result_bytes = m.result_bytes.load();
+    r.broadcast_fetches = m.broadcast_fetches.load();
+    r.broadcast_hits = m.broadcast_hits.load();
+    const std::uint64_t completed = m.tasks_completed.load();
+    r.mean_task_compute_ms =
+        completed > 0
+            ? static_cast<double>(m.task_compute_ns.load()) / 1e6 /
+                  static_cast<double>(completed)
+            : 0.0;
+    r.migration_bytes = m.migration_bytes.load();
+    r.partitions_stolen = m.partitions_stolen.load();
+    r.tasks_speculated = m.tasks_speculated.load();
+    r.duplicates_dropped = m.duplicate_results.load();
+    r.shard_reads = m.shard_reads.load();
+    r.shard_reads_partial = m.shard_reads_partial.load();
+    r.shard_touches = m.shard_touches.load();
+    for (std::size_t ch = 0; ch < engine::kNumWireChannels; ++ch) {
+      const auto& wire = m.wire(static_cast<engine::WireChannel>(ch));
+      r.wire[ch] = {wire.frames.load(), wire.bytes_sent.load(),
+                    wire.bytes_received.load()};
+    }
+    r.disk = {m.disk.blob_writes.load(),   m.disk.blob_write_bytes.load(),
+              m.disk.blob_reads.load(),    m.disk.blob_read_bytes.load(),
+              m.disk.lru_hits.load(),      m.disk.quarantines.load(),
+              m.disk.recovery_walks.load(), m.disk.manifest_appends.load()};
+    finish_telemetry(r, cluster_, config_);
+    armed_ = false;
+    r.trace = recorder_.finalize([this](const linalg::DenseVector& model) {
+      return full_objective(*workload_.dataset, *workload_.loss, model);
+    });
+    return r;
+  }
+
+  /// Per-task settings for the solver's task factories and stages: the
+  /// service floor (config.service_floor_ms, else the cost model's charge
+  /// for one task's data volume) and the seed.
+  core::SubmitOptions opts;
+  /// Gradient accumulator representation (see grad_config); SolverConfig only.
+  linalg::GradVectorConfig grad_cfg;
+  /// Per-partition shard-support sets (see shard_support_table); null when
+  /// masking cannot help, and always for configs without a model store.
+  std::shared_ptr<const std::vector<core::ShardSet>> support;
+
+ private:
+  engine::Cluster& cluster_;
+  const Workload& workload_;
+  const Config& config_;
+  metrics::TraceRecorder recorder_;
+  support::Stopwatch watch_;
+  bool armed_;
+};
 
 /// Snapshots the solver state to config.checkpoint_path on the
 /// checkpoint_every cadence. `update_index` counts *completed* model updates

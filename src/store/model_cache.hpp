@@ -5,7 +5,7 @@
 // value_at(v) asks the store for the cheapest chain from v down to this
 // cache's nearest materialized ancestor (or a base snapshot, when that costs
 // fewer wire bytes), fetches only the missing links — each charged
-// individually through the worker's BroadcastCache/NetworkModel, base links
+// individually through the worker's BroadcastCache and channel, base links
 // as BroadcastClass::kSnapshot and delta links as kDelta — and materializes
 // the dense model by applying the overwrite deltas in O(Σ nnz).  A version
 // already materialized is a pure cache hit: no wire traffic, no payload

@@ -51,8 +51,8 @@ class InProcessChannel final : public Channel {
       metrics_->count_wire(engine::WireChannel::kResult, bytes, 0);
     }
     ShipReceipt receipt;
-    // Payload-less results (failed tasks) transfer nothing — matching the
-    // channel-less legacy path exactly, latency term included.
+    // Payload-less results (failed tasks) transfer nothing, latency term
+    // included.
     receipt.charge_ms = network_ != nullptr && result.payload.has_value()
                             ? network_->transfer_ms(bytes)
                             : 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "transport/transport.hpp"
+
 namespace asyncml::core {
 namespace {
 
@@ -76,7 +78,8 @@ TEST(HistoryBroadcast, WorkerSideResolutionFetchesEachChainLinkOnce) {
   engine::NetworkModel net;
   net.time_scale = 0.0;
   engine::ClusterMetrics metrics(1);
-  engine::BroadcastCache cache(&store, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  engine::BroadcastCache cache(&store, &metrics, &wire->channel(0));
 
   auto registry = std::make_shared<HistoryRegistry>(&store);
   registry->publish(linalg::DenseVector(64), 0);  // base: 64 x 8 bytes

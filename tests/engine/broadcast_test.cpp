@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "linalg/dense_vector.hpp"
+#include "transport/transport.hpp"
 
 namespace asyncml::engine {
 namespace {
@@ -53,7 +54,8 @@ TEST(BroadcastCache, FetchThroughCachesValue) {
   NetworkModel net;
   net.time_scale = 0.0;  // no sleeps in unit tests
   ClusterMetrics metrics(1);
-  BroadcastCache cache(&store, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, &metrics, &wire->channel(0));
 
   const BroadcastId id = store.put(Payload::wrap<int>(5));
   EXPECT_FALSE(cache.contains(id));
@@ -73,7 +75,8 @@ TEST(BroadcastCache, MissOnUnknownIdDoesNotCache) {
   BroadcastStore store;
   NetworkModel net;
   net.time_scale = 0.0;
-  BroadcastCache cache(&store, &net, nullptr);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, nullptr, &wire->channel(0));
   EXPECT_FALSE(cache.get_or_fetch(123).has_value());
   EXPECT_FALSE(cache.contains(123));
 }
@@ -82,7 +85,8 @@ TEST(BroadcastCache, EraseDropsExactEntry) {
   BroadcastStore store;
   NetworkModel net;
   net.time_scale = 0.0;
-  BroadcastCache cache(&store, &net, nullptr);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, nullptr, &wire->channel(0));
   const BroadcastId a = store.put(Payload::wrap<int>(1));
   const BroadcastId b = store.put(Payload::wrap<int>(2));
   (void)cache.get_or_fetch(a);
@@ -100,7 +104,8 @@ TEST(BroadcastCache, AdmitChargesOnMissAndIsFreeOnHit) {
   NetworkModel net;
   net.time_scale = 0.0;
   ClusterMetrics metrics(1);
-  BroadcastCache cache(&store, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, &metrics, &wire->channel(0));
 
   // Admit a payload the caller already holds (a pinned chain link): the id
   // need not be resolvable through the store anymore.
@@ -126,7 +131,8 @@ TEST(BroadcastCache, FetchClassSplitsByteAccounting) {
   NetworkModel net;
   net.time_scale = 0.0;
   ClusterMetrics metrics(1);
-  BroadcastCache cache(&store, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, &metrics, &wire->channel(0));
   const BroadcastId snap = store.put(Payload::wrap<int>(1, 100));
   const BroadcastId delta = store.put(Payload::wrap<int>(2, 12));
   (void)cache.get_or_fetch(snap, BroadcastClass::kSnapshot);
@@ -150,7 +156,8 @@ TEST(BroadcastHandle, WorkerSideValueGoesThroughCache) {
   NetworkModel net;
   net.time_scale = 0.0;
   ClusterMetrics metrics(1);
-  BroadcastCache cache(&store, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  BroadcastCache cache(&store, &metrics, &wire->channel(0));
   const BroadcastId id = store.put(Payload::wrap<int>(9));
   Broadcast<int> handle(id, &store);
 

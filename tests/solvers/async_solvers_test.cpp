@@ -122,6 +122,28 @@ TEST(AsagaSolver, HistoryBroadcastBytesStayLinear) {
   EXPECT_GT(result.broadcast_hits, 0u);
 }
 
+TEST(AsagaSolver, LostTaskRescueNeverReExecutesVersionTableTasks) {
+  // A rescued task is re-dispatched while the original may still finish, so
+  // a version-table task would advance its samples' history twice. ASAGA
+  // must force rescue off whatever lost_task_factor says: one compute stall
+  // far past the ~2.5 ms rescue horizon stays a slow task, never a replica.
+  engine::Cluster::Config cluster_config = quiet_config(2);
+  cluster_config.faults.delay(engine::FaultStage::kCompute, 60.0, {.partition = 1},
+                              /*times=*/1, /*after=*/2);
+  engine::Cluster cluster(cluster_config);
+  SolverConfig config = fast_config();
+  config.updates = 120;
+  config.service_floor_ms = 0.5;  // a stable EWMA median for the horizon
+  config.lost_task_factor = 5.0;
+  const RunResult result = AsagaSolver::run(cluster, tiny_workload(12), config);
+
+  EXPECT_EQ(result.updates, 120u);
+  ASSERT_NE(cluster.faults(), nullptr);
+  EXPECT_EQ(cluster.faults()->stats().delays_injected, 1u);
+  EXPECT_EQ(result.tasks_speculated, 0u);
+  EXPECT_EQ(result.duplicates_dropped, 0u);
+}
+
 TEST(EpochVrSolver, ConvergesWithPeriodicSynchronization) {
   engine::Cluster cluster(quiet_config(4));
   const Workload workload = tiny_workload(9);

@@ -11,6 +11,7 @@
 #include "store/model_cache.hpp"
 #include "store/model_store.hpp"
 #include "support/rng.hpp"
+#include "transport/transport.hpp"
 
 namespace asyncml::store {
 namespace {
@@ -26,7 +27,8 @@ TEST_P(DeltaDensitySweep, ChainResolutionEqualsDirectlyPublishedModel) {
   engine::NetworkModel net;
   net.time_scale = 0.0;
   engine::ClusterMetrics metrics(1);
-  engine::BroadcastCache bcache(&broadcasts, &net, &metrics);
+  auto wire = transport::make_transport({}, 1, &net, nullptr);
+  engine::BroadcastCache bcache(&broadcasts, &metrics, &wire->channel(0));
   StoreConfig config;
   config.base_interval = 8;
   ModelStore store(&broadcasts, config);

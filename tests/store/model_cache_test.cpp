@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "store/model_store.hpp"
+#include "transport/transport.hpp"
 
 namespace asyncml::store {
 namespace {
@@ -11,11 +12,14 @@ struct CacheFixture {
   engine::BroadcastStore broadcasts;
   engine::NetworkModel net;
   engine::ClusterMetrics metrics{1};
+  /// One in-process wire per worker (worker 0 = bcache, worker 1 = spare).
+  std::unique_ptr<transport::Transport> wire =
+      transport::make_transport({}, 2, &net, nullptr);
   engine::BroadcastCache bcache;
   ModelStore store;
 
   explicit CacheFixture(StoreConfig config = {})
-      : bcache(&broadcasts, &net, &metrics), store(&broadcasts, config) {
+      : bcache(&broadcasts, &metrics, &wire->channel(0)), store(&broadcasts, config) {
     net.time_scale = 0.0;  // no sleeps in unit tests
   }
 
@@ -166,7 +170,7 @@ TEST(VersionedModelCache, SecondWorkerChargesItsOwnFetches) {
   CacheFixture fx;
   (void)publish_chain(fx.store, 8, 3);
   engine::ClusterMetrics metrics2(1);
-  engine::BroadcastCache bcache2(&fx.broadcasts, &fx.net, &metrics2);
+  engine::BroadcastCache bcache2(&fx.broadcasts, &metrics2, &fx.wire->channel(1));
   (void)fx.worker_cache().value_at(2);
   const std::uint64_t bytes = fx.metrics.broadcast_bytes.load();
   (void)fx.store.cache_for(1, &bcache2, &metrics2).value_at(2);

@@ -15,8 +15,9 @@ Metric semantics are inferred from the key name:
                                                    it is measured timing too)
 
 Exit code is 0 unless --strict is passed AND a hard (bit-identity) invariant
-broke. All wall-clock-derived metrics are advisory — shared CI runners are
-noisy — so timing drift never fails the job.
+broke (exit 1), or a baseline file is missing (exit 2, one line:
+`baseline not found: <path>`). All wall-clock-derived metrics are advisory —
+shared CI runners are noisy — so timing drift never fails the job.
 
 With --telemetry-baseline/--telemetry-current the tool additionally diffs two
 span-telemetry reports (TelemetryReport::to_json, docs/TELEMETRY.md): per-stage
@@ -106,6 +107,17 @@ def print_diff(baseline: dict, current: dict, tolerance: float,
         print(f"{key.ljust(width)}  {fmt(base)}  {fmt(cur)}  {status}")
 
 
+def load_baseline(path: str) -> dict:
+    """Reads a checked-in baseline; a missing one exits 2 with one line
+    instead of a traceback."""
+    try:
+        with open(path) as f:
+            return json.load(f)
+    except FileNotFoundError:
+        print(f"baseline not found: {path}", file=sys.stderr)
+        sys.exit(2)
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--baseline", required=True)
@@ -120,8 +132,7 @@ def main() -> int:
                         help="freshly exported span-telemetry report")
     args = parser.parse_args()
 
-    with open(args.baseline) as f:
-        baseline = json.load(f)
+    baseline = load_baseline(args.baseline)
     with open(args.current) as f:
         current = json.load(f)
 
@@ -129,8 +140,7 @@ def main() -> int:
     print_diff(baseline, current, args.tolerance, regressions, invariant_failures)
 
     if args.telemetry_baseline and args.telemetry_current:
-        with open(args.telemetry_baseline) as f:
-            tel_base = json.load(f)
+        tel_base = load_baseline(args.telemetry_baseline)
         with open(args.telemetry_current) as f:
             tel_cur = json.load(f)
         if tel_base.get("schema_version") != tel_cur.get("schema_version"):
