@@ -19,6 +19,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
 
   linalg::DenseVector w(workload.dim());
   linalg::DenseVector alpha_bar(workload.dim());
+  linalg::DenseVector direction(workload.dim());  // per-update scratch, reused
   core::HistoryBroadcast w_br = ac.async_broadcast(w);  // version 0
 
   auto rebuild_factory = [&] {
@@ -40,7 +41,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     const GradHist& g = collected->result.payload.get<GradHist>();
     if (g.count > 0) {
       const double inv_b = 1.0 / static_cast<double>(g.count);
-      linalg::DenseVector direction = alpha_bar;
+      direction = alpha_bar;
       g.grad.scale_into(inv_b, direction.span());
       g.hist.scale_into(-inv_b, direction.span());
       linalg::axpy(-config.step(updates) * step_scale, direction.span(), w.span());
@@ -56,7 +57,7 @@ RunResult AsagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     run.snapshot(updates, w);
     // History GC: floored by the sample table so recomputable historical
     // gradients keep their versions resolvable.
-    detail::maybe_gc_history(ac, config, updates, table->min_version());
+    detail::maybe_gc_history(ac, config, updates, [&] { return table->min_version(); });
 
     detail::dispatch_live(ac, config.barrier, factory);
   }

@@ -20,6 +20,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
   ac.scheduler().set_policy(detail::scheduler_policy(workload, config));
 
   linalg::DenseVector w(dim);
+  linalg::DenseVector direction(dim);  // per-update scratch, reused
   run.start(0, w);
 
   std::uint64_t updates = 0;
@@ -67,7 +68,7 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
       const GradHist& g = collected->result.payload.get<GradHist>();
       if (g.count > 0) {
         const double inv_b = 1.0 / static_cast<double>(g.count);
-        linalg::DenseVector direction = mu;
+        direction = mu;
         g.grad.scale_into(inv_b, direction.span());
         g.hist.scale_into(-inv_b, direction.span());
         linalg::axpy(-config.step(updates) * step_scale, direction.span(), w.span());
@@ -91,11 +92,12 @@ RunResult EpochVrSolver::run(engine::Cluster& cluster, const Workload& workload,
       auto leftover = ac.collect(&factory);
       stopped = !leftover.has_value();
       if (stopped) break;
-      // Leftover inner results are still valid SVRG updates; apply them.
+      // Leftover inner results are still valid SVRG updates; apply them
+      // while the update budget lasts. Past it, they are only drained.
       const GradHist& g = leftover->result.payload.get<GradHist>();
-      if (g.count > 0) {
+      if (g.count > 0 && updates < config.updates) {
         const double inv_b = 1.0 / static_cast<double>(g.count);
-        linalg::DenseVector direction = mu;
+        direction = mu;
         g.grad.scale_into(inv_b, direction.span());
         g.hist.scale_into(-inv_b, direction.span());
         linalg::axpy(-config.step(updates) * step_scale, direction.span(), w.span());

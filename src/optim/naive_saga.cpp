@@ -48,6 +48,7 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
 
   linalg::DenseVector w(workload.dim());
   linalg::DenseVector alpha_bar(workload.dim());
+  linalg::DenseVector direction(workload.dim());  // per-update scratch, reused
   ModelTable table;
   table.models.push_back(w);  // "store w in table" (Algorithm 3 line 2)
   run.start(0, w);
@@ -113,7 +114,7 @@ RunResult NaiveSagaSolver::run(engine::Cluster& cluster, const Workload& workloa
 
     if (total.count > 0) {
       const double inv_b = 1.0 / static_cast<double>(total.count);
-      linalg::DenseVector direction = alpha_bar;
+      direction = alpha_bar;
       total.grad.scale_into(inv_b, direction.span());
       total.hist.scale_into(-inv_b, direction.span());
       linalg::axpy(-config.step(k), direction.span(), w.span());

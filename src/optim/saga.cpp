@@ -17,6 +17,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
 
   linalg::DenseVector w(workload.dim());
   linalg::DenseVector alpha_bar(workload.dim());  // ᾱ — "averageHistory" of Algorithm 3
+  linalg::DenseVector direction(workload.dim());  // per-update scratch, reused
   // SAGA resumes the *model* and the version/round streams, but restarts
   // ᾱ and the version table cold: the table's entries reference published
   // history the restarted process no longer holds, and restoring ᾱ
@@ -41,7 +42,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     if (total.count > 0) {
       const double inv_b = 1.0 / static_cast<double>(total.count);
       // w ← w − α (ĝ_new − ĝ_old + ᾱ)
-      linalg::DenseVector direction = alpha_bar;
+      direction = alpha_bar;
       total.grad.scale_into(inv_b, direction.span());
       total.hist.scale_into(-inv_b, direction.span());
       linalg::axpy(-config.step(k), direction.span(), w.span());
@@ -53,7 +54,7 @@ RunResult SagaSolver::run(engine::Cluster& cluster, const Workload& workload,
     ac.advance_version();
     w_br = ac.async_broadcast(w);
     run.snapshot(k + 1, w);
-    detail::maybe_gc_history(ac, config, k + 1, table->min_version());
+    detail::maybe_gc_history(ac, config, k + 1, [&] { return table->min_version(); });
     detail::maybe_checkpoint(config, ac, w, k + 1, {{"alpha_bar", alpha_bar}});
   }
   return run.finish("SAGA", w, config.updates, cluster.metrics().tasks_completed.load());

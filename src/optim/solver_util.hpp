@@ -5,6 +5,7 @@
 // bodies of Algorithms 1–4).
 
 #include <algorithm>
+#include <concepts>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -12,6 +13,7 @@
 #include <optional>
 #include <string>
 #include <type_traits>
+#include <utility>
 
 #include "core/async_context.hpp"
 #include "core/history.hpp"
@@ -402,15 +404,23 @@ inline void maybe_checkpoint(const SolverConfig& config, core::AsyncContext& ac,
 }
 
 /// STAT-keyed history GC on the configured cadence: every `gc_every` updates,
-/// delta chains below the minimum in-flight version (further floored by
-/// `extra_floor` — the SampleVersionTable minimum for history-reading
-/// solvers) are compacted. Exactly then no dispatched task can reference the
-/// erased versions.
+/// delta chains below the minimum in-flight version (further floored by the
+/// value `extra_floor()` returns — the SampleVersionTable minimum for
+/// history-reading solvers) are compacted. Exactly then no dispatched task
+/// can reference the erased versions. The floor is computed only when the
+/// cadence fires, so the updates between GCs never pay for an O(n) scan.
+template <std::invocable FloorFn>
+inline void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
+                             std::uint64_t updates, FloorFn&& extra_floor) {
+  if (config.gc_every == 0 || updates == 0 || updates % config.gc_every != 0) return;
+  ac.gc_history(std::forward<FloorFn>(extra_floor)());
+}
+
+/// As above with a floor already at hand (or none).
 inline void maybe_gc_history(core::AsyncContext& ac, const SolverConfig& config,
                              std::uint64_t updates,
                              std::optional<engine::Version> extra_floor = std::nullopt) {
-  if (config.gc_every == 0 || updates == 0 || updates % config.gc_every != 0) return;
-  ac.gc_history(extra_floor);
+  maybe_gc_history(ac, config, updates, [extra_floor] { return extra_floor; });
 }
 
 /// Dispatch with a liveness guarantee: if the barrier admits nobody AND the

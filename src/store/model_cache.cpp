@@ -16,17 +16,17 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
   // materialize w" cost of the calling task. No-op off the executor threads.
   telemetry::ScopedStageTimer fetch_timer(telemetry::Stage::kModelFetch);
   // Releases the single-flight latch when a resolution attempt must restart
-  // (anchor invalidated / entry republished mid-flight).
-  const auto abandon = [&](engine::Version v) {
-    std::lock_guard lock(mutex_);
+  // (target entry republished mid-flight).  Requires mutex_.
+  const auto abandon_locked = [&](engine::Version v) {
     inflight_.erase(v);
     resolved_cv_.notify_all();
   };
-  // Resolution can race a same-version republish invalidating our anchor or
-  // replacing the entry; the loop simply re-resolves against the store's
-  // current chain.
+  // Resolution can race a same-version republish replacing the target's
+  // entry while the chain is applied off-lock; the loop then re-resolves
+  // against the store's current chain.
   for (int attempt = 0; attempt < 16; ++attempt) {
-    std::unordered_set<engine::Version> anchors;
+    std::vector<ChainLink> chain;
+    std::shared_ptr<const linalg::DenseVector> anchor;
     {
       std::unique_lock lock(mutex_);
       // Single-flight: one chain resolution at a time per cache. A sibling
@@ -42,16 +42,23 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
         return *it->second;
       }
       inflight_.insert(version);
-      anchors.reserve(models_.size());
-      for (const auto& [v, model] : models_) anchors.insert(v);
+      // Chain snapshot, planned against models_ in place: the store walks
+      // under its own mutex nested inside ours (lock order in the header),
+      // so no anchor set is copied and no anchor can vanish mid-walk.
+      // Payloads are pinned, so a concurrent GC cannot pull a link out from
+      // under the apply below.
+      chain = store_->chain_for(version, &models_);
+      assert(!chain.empty());
+      if (!chain.front().is_base) {
+        // Nearest materialized ancestor: start from the local copy, free.
+        // Pinned under the lock the walk saw it under, so a later
+        // invalidation or GC drop cannot pull it from under the apply.
+        anchor = models_.at(chain.front().version);
+      }
     }
     // From here on this thread owns the latch for `version`: every exit path
     // below releases it (abandon on restart, the commit paths on success).
 
-    // Chain snapshot: payloads are pinned, so a concurrent GC cannot pull a
-    // link out from under the walk below.
-    const std::vector<ChainLink> chain = store_->chain_for(version, &anchors);
-    assert(!chain.empty());
     const ChainLink& head = chain.front();
     // The target version's own payload id (its delta link — or its base when
     // the chain is just the base): re-validated against a concurrent
@@ -86,8 +93,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
         // than racing past it.
         std::lock_guard lock(mutex_);
         if (!still_current()) {
-          inflight_.erase(version);
-          resolved_cv_.notify_all();
+          abandon_locked(version);
           continue;
         }
         const auto it = models_.emplace(version, std::move(base)).first;
@@ -104,19 +110,6 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
         w = *it->second;
       }
     } else {
-      // Nearest materialized ancestor: start from the local copy, free.
-      std::shared_ptr<const linalg::DenseVector> anchor;
-      {
-        std::lock_guard lock(mutex_);
-        if (const auto it = models_.find(head.version); it != models_.end()) {
-          anchor = it->second;
-        }
-      }
-      if (anchor == nullptr) {
-        // Invalidated meanwhile (same-version republish); re-resolve.
-        abandon(version);
-        continue;
-      }
       w = *anchor;
     }
 
@@ -140,8 +133,7 @@ const linalg::DenseVector& VersionedModelCache::value_at(engine::Version version
     // chain must not be served as a "materialized hit" forever.
     std::lock_guard lock(mutex_);
     if (!still_current()) {
-      inflight_.erase(version);
-      resolved_cv_.notify_all();
+      abandon_locked(version);
       continue;
     }
     const auto it = models_

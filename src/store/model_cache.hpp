@@ -20,25 +20,32 @@
 // (Payload::share), so a chain's base costs memory once regardless of how
 // many caches anchor on it.
 //
+// A miss costs one map lookup per chain link walked: the store's walk reads
+// this cache's materialized-model map in place (no per-miss anchor copy), so
+// resolution cost does not grow with the number of versions held here.
+//
 // Thread safety: all methods are safe to call from the worker's executor
 // threads concurrently with driver-side publish/GC.  Returned references stay
 // valid until the version is dropped by GC — which the STAT-keyed GC bound
 // guarantees cannot happen while a dispatched task can still reference it.
+//
+// Lock order: VersionedModelCache::mutex_ before ModelStore::mutex_.  A miss
+// holds the cache lock across ModelStore::chain_for (the walk looks anchors
+// up in models_ under both), and a commit holds it across the entry_of
+// re-check.  The store never takes a cache lock while holding its own:
+// publish and gc_below call invalidate / drop_below after releasing it.
 
 #include <condition_variable>
-#include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
 #include "engine/broadcast.hpp"
 #include "engine/types.hpp"
 #include "linalg/dense_vector.hpp"
+#include "store/model_store.hpp"
 
 namespace asyncml::store {
-
-class ModelStore;
 
 class VersionedModelCache {
  public:
@@ -82,8 +89,7 @@ class VersionedModelCache {
   std::int32_t shard_tag_ = -1;      ///< ≥0: attribute fetches to this shard
   mutable std::mutex mutex_;
   std::condition_variable resolved_cv_;
-  std::unordered_map<engine::Version, std::shared_ptr<const linalg::DenseVector>>
-      models_;
+  MaterializedModels models_;  ///< also the anchor set chain_for walks toward
   std::unordered_set<engine::Version> inflight_;  ///< single-flight latches
 };
 

@@ -58,18 +58,28 @@ engine::BroadcastId ModelStore::publish(const linalg::DenseVector& w,
   ModelDelta delta;
   if (can_delta) {
     delta.parent = prev_version_;
-    // Overwrite deltas must stay sparse; the size cutoff below fires first.
-    delta.values.ensure(linalg::GradVectorConfig(dim, /*threshold=*/1.01,
-                                                 /*dense_start=*/false));
+    // Count first: collect the changed coordinates in one compare pass and
+    // build the delta table only if the delta stays sparse.  A densified
+    // version (nearly every one on dense-update solvers) then costs one
+    // O(dim) compare, not thousands of hash upserts it would throw away.
     const double limit = cfg_.densify_threshold * static_cast<double>(dim);
+    changed_.clear();
     for (std::size_t i = 0; i < dim; ++i) {
       if (w[i] != prev_[i]) {
-        delta.values.set(static_cast<std::uint32_t>(i), w[i]);
-        if (static_cast<double>(delta.values.nnz()) > limit) {
+        changed_.push_back(static_cast<std::uint32_t>(i));
+        if (static_cast<double>(changed_.size()) > limit) {
           densified = true;  // a full snapshot is cheaper; break the chain
           break;
         }
       }
+    }
+    if (!densified) {
+      // Overwrite deltas must stay sparse; the size cutoff above fires first.
+      // Inserting in index order through the default table growth keeps the
+      // table — and so its encoding — identical to an upsert-as-you-scan.
+      delta.values.ensure(linalg::GradVectorConfig(dim, /*threshold=*/1.01,
+                                                   /*dense_start=*/false));
+      for (const std::uint32_t i : changed_) delta.values.set(i, w[i]);
     }
   }
 
@@ -267,8 +277,7 @@ bool ModelStore::ensure_payload_locked(engine::Version version, VersionEntry& e,
 }
 
 std::vector<ChainLink> ModelStore::chain_locked(
-    engine::Version version,
-    const std::unordered_set<engine::Version>* anchors) const {
+    engine::Version version, const MaterializedModels* anchors) const {
   std::vector<ChainLink> chain;
   while (true) {
     chain.clear();
@@ -297,9 +306,9 @@ std::vector<ChainLink> ModelStore::chain_locked(
   }
 }
 
-ModelStore::WalkOutcome ModelStore::walk_locked(
-    engine::Version version, const std::unordered_set<engine::Version>* anchors,
-    std::vector<ChainLink>& out) const {
+ModelStore::WalkOutcome ModelStore::walk_locked(engine::Version version,
+                                                const MaterializedModels* anchors,
+                                                std::vector<ChainLink>& out) const {
   // Walk from `version` toward older versions collecting delta links, keeping
   // the cheapest base stop seen so far; commit to a materialized anchor only
   // while its accumulated delta cost still beats every base plan.
@@ -438,8 +447,7 @@ bool ModelStore::repair_locked(engine::Version version) const {
 }
 
 std::vector<ChainLink> ModelStore::chain_for(
-    engine::Version version,
-    const std::unordered_set<engine::Version>* anchors) const {
+    engine::Version version, const MaterializedModels* anchors) const {
   std::lock_guard lock(mutex_);
   return chain_locked(version, anchors);
 }

@@ -15,6 +15,11 @@
 //   delta  — a sparse overwrite set against the parent version
 //            (ModelDelta, exactly 8 + 12*nnz wire bytes).
 //
+// The diff is count-first: one compare pass collects the changed indices
+// (stopping as soon as their count passes the densify cutoff), and the
+// delta's table is built from them only when the delta stayed sparse.  A
+// densified version therefore costs one O(dim) compare, however dense.
+//
 // A scheduled base (the every-`base_interval` kind) is *dual-published*: the
 // base snapshot AND its delta against the parent are both registered, so the
 // version chain is never broken by a base — a warm worker rides the delta
@@ -40,7 +45,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "engine/broadcast.hpp"
@@ -101,6 +106,12 @@ struct ChainLink {
   engine::Payload payload;
 };
 
+/// A cache's materialized models by version — the anchors a resolution walk
+/// may stop at.  chain_for reads the caller's map in place (never a copy), so
+/// the caller must hold the lock guarding it for the duration of the call.
+using MaterializedModels =
+    std::unordered_map<engine::Version, std::shared_ptr<const linalg::DenseVector>>;
+
 /// Publishing statistics (driver-side; what was *registered*, not fetched —
 /// fetched traffic lives in ClusterMetrics).
 struct StoreStats {
@@ -140,9 +151,13 @@ class ModelStore {
   /// bytes vs snapshot bytes); a chain-breaking entry (densified delta, GC
   /// rebase, first version) always anchors on its snapshot.  Aborts if the
   /// version was never published or was GC'd: both are upstream logic errors.
+  ///
+  /// Cost: one map lookup per chain link walked, independent of how many
+  /// versions are retained or materialized.  `anchors` is looked up in place
+  /// under mutex_, so the caller's lock on it must be ordered before this
+  /// store's (see VersionedModelCache for the lock order).
   [[nodiscard]] std::vector<ChainLink> chain_for(
-      engine::Version version,
-      const std::unordered_set<engine::Version>* anchors = nullptr) const;
+      engine::Version version, const MaterializedModels* anchors = nullptr) const;
 
   /// Erases all versions < `min_version` (exact broadcast ids, server store
   /// and every registered cache), rebasing the oldest retained version onto a
@@ -216,13 +231,12 @@ class ModelStore {
   /// fault-in failures and repairs an unmaterializable version by
   /// re-publishing its nearest intact ancestor as a fresh base.
   [[nodiscard]] std::vector<ChainLink> chain_locked(
-      engine::Version version,
-      const std::unordered_set<engine::Version>* anchors) const;
+      engine::Version version, const MaterializedModels* anchors) const;
 
   /// One walk attempt; requires mutex_ held.
-  [[nodiscard]] WalkOutcome walk_locked(
-      engine::Version version, const std::unordered_set<engine::Version>* anchors,
-      std::vector<ChainLink>& out) const;
+  [[nodiscard]] WalkOutcome walk_locked(engine::Version version,
+                                        const MaterializedModels* anchors,
+                                        std::vector<ChainLink>& out) const;
 
   /// Ensures the base (or delta) payload of `e` is registered in memory,
   /// faulting it in from the disk tier when the entry is lazy. On a failed
@@ -252,6 +266,8 @@ class ModelStore {
   // disk (registering their payloads and recording the broadcast ids here).
   mutable std::map<engine::Version, VersionEntry> entries_;
   linalg::DenseVector prev_;          ///< last published model (diff source)
+  /// publish()'s changed-coordinate buffer, reused across versions.
+  std::vector<std::uint32_t> changed_;
   engine::Version prev_version_ = 0;
   bool has_prev_ = false;
   std::uint32_t since_base_ = 0;      ///< deltas published since the last base

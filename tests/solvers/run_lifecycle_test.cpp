@@ -81,7 +81,7 @@ TEST_P(RunLifecycle, TracedThenUntracedRunsStayIndependent) {
   EXPECT_EQ(untraced.telemetry, nullptr);
 
   for (const RunResult* r : {&traced, &untraced}) {
-    EXPECT_GE(r->updates, 40u);  // EpochVR's tail drain may apply a few more
+    EXPECT_EQ(r->updates, 40u);
     EXPECT_GT(r->wall_ms, 0.0);
     ASSERT_FALSE(r->trace.empty());
     EXPECT_EQ(r->trace.front().update, 0u);
