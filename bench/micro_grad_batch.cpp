@@ -11,8 +11,8 @@
 // epsilon/mnist8m-like dense and rcv1-like sparse at their §6.1 fractions,
 // with row-scaled partitions so the per-row pipeline's per-element costs are
 // not understated by toy partitions.  Every timed pair is first
-// cross-checked for bit-identical results, and a 1-worker fig3-style SGD run
-// asserts the full trajectory bit-matches.  Metrics land in
+// cross-checked for bit-identical results, and a fig3-style SGD trajectory
+// driven task by task asserts the final models bit-match.  Metrics land in
 // bench_results/BENCH_micro.json for tools/bench_diff.py.
 
 #include <algorithm>
@@ -261,32 +261,50 @@ CaseResult run_svrg_case(const optim::Workload& workload, double fraction, int i
   return out;
 }
 
-/// fig3-style 1-worker SGD: the full solver trajectory must bit-match
-/// between fused and per-row kernels (the acceptance check).
-bool one_worker_trajectory_bitmatch(const optim::Workload& workload, double fraction,
-                                    double step) {
+/// fig3-style SGD trajectory at the task level: 12 updates, each summing
+/// every partition's task result in partition order (the 1-worker solver's
+/// combine order). The production fused body and the per-row reference each
+/// drive their own model from the same task contexts; the two final models
+/// must bit-match (the acceptance check).
+bool task_trajectory_bitmatch(const optim::Workload& workload, double fraction,
+                              double step) {
+  constexpr std::uint64_t kUpdates = 12;
+  constexpr std::uint64_t kSeed = 11;
   optim::SolverConfig config;
-  config.updates = 12;
   config.batch_fraction = fraction;
-  config.step = optim::inv_sqrt_step(step);
-  config.eval_every = 12;
-  config.seed = 11;
+  const optim::StepSchedule schedule = optim::inv_sqrt_step(step);
+  const linalg::GradVectorConfig grad_cfg = optim::detail::grad_config(workload, config);
+  const auto comb = optim::detail::grad_comb();
 
-  engine::Cluster::Config cluster_cfg;
-  cluster_cfg.num_workers = 1;
-  cluster_cfg.cores_per_worker = 1;
-  cluster_cfg.network.time_scale = 0.0;
-
-  config.fused_kernels = false;
-  engine::Cluster perrow_cluster(cluster_cfg);
-  const optim::RunResult perrow =
-      optim::SgdSolver::run(perrow_cluster, workload, config);
-
-  config.fused_kernels = true;
-  engine::Cluster fused_cluster(cluster_cfg);
-  const optim::RunResult fused =
-      optim::SgdSolver::run(fused_cluster, workload, config);
-  return linalg::bitwise_equal(perrow.final_w, fused.final_w);
+  const auto run = [&](bool fused) {
+    linalg::DenseVector w(workload.dim());
+    engine::BroadcastStore store;
+    auto registry = std::make_shared<core::HistoryRegistry>(&store);
+    for (std::uint64_t k = 0; k < kUpdates; ++k) {
+      registry->publish(w, k);
+      const core::HistoryBroadcast handle(registry, k);
+      const auto fn =
+          fused ? optim::detail::grad_task_fn(workload, config, handle, grad_cfg,
+                                              fraction)
+                : engine::make_aggregate_fn<data::LabeledPoint, optim::GradCount>(
+                      workload.points.sample(fraction),
+                      optim::GradCount{linalg::GradVector(grad_cfg)},
+                      optim::detail::make_grad_seq(workload.loss, handle, grad_cfg));
+      optim::GradCount total{linalg::GradVector(grad_cfg)};
+      for (int p = 0; p < workload.num_partitions(); ++p) {
+        auto ctx = task_context(p, k, kSeed);
+        auto result = (*fn)(ctx);
+        if (!result.is_ok()) std::abort();
+        total = comb(std::move(total), result.value().get<optim::GradCount>());
+      }
+      if (total.count > 0) {
+        total.grad.scale_into(-schedule(k) / static_cast<double>(total.count),
+                              w.span());
+      }
+    }
+    return w;
+  };
+  return linalg::bitwise_equal(run(/*fused=*/true), run(/*fused=*/false));
 }
 
 }  // namespace
@@ -359,8 +377,8 @@ int main() {
     json.emplace_back(prefix + ".bit_identical", r.bit_identical ? 1.0 : 0.0);
   }
 
-  const bool traj_dense = one_worker_trajectory_bitmatch(epsilon_workload, 0.10, 0.5);
-  const bool traj_sparse = one_worker_trajectory_bitmatch(rcv1_workload, 0.05, 0.5);
+  const bool traj_dense = task_trajectory_bitmatch(epsilon_workload, 0.10, 0.5);
+  const bool traj_sparse = task_trajectory_bitmatch(rcv1_workload, 0.05, 0.5);
   json.emplace_back("micro_grad_batch.trajectory_bitmatch_dense", traj_dense ? 1 : 0);
   json.emplace_back("micro_grad_batch.trajectory_bitmatch_sparse", traj_sparse ? 1 : 0);
 
@@ -370,7 +388,7 @@ int main() {
 
   std::cout << "\n";
   table.print(std::cout);
-  std::cout << "\n1-worker SGD trajectory bit-match: dense="
+  std::cout << "\ntask-level SGD trajectory bit-match: dense="
             << (traj_dense ? "yes" : "NO") << " sparse="
             << (traj_sparse ? "yes" : "NO")
             << "\nshape check: all rows bit-identical; fused ~3x on the "

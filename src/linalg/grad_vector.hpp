@@ -155,27 +155,6 @@ class GradVector {
   /// representation is sparse).  A dense representation assigns all of y.
   void overwrite_into(std::span<double> y) const;
 
-  /// Splits this vector into contiguous index ranges — the scatter kernel of
-  /// the sharded model plane (core/shard_map.hpp supplies the bounds).
-  /// `bounds` is the S+1 boundary array [0, b1, …, dim]; piece s holds the
-  /// entries with index in [bounds[s], bounds[s+1]), re-indexed locally
-  /// (piece dim = bounds[s+1] − bounds[s]).
-  ///
-  /// Wire-size contract: a dense source yields dense pieces whose 8*local_dim
-  /// bytes sum exactly to the source's 8*dim.  A sparse source yields sparse
-  /// pieces (8 + 12*nnz_s each, empty pieces ship 0), so the 12*nnz data
-  /// bytes are preserved exactly and each non-empty piece adds one 8-byte nnz
-  /// header.  Sparse pieces never densify: a split must not change the
-  /// encoding of what it splits.
-  [[nodiscard]] std::vector<GradVector> split_ranges(
-      std::span<const std::uint32_t> bounds) const;
-
-  /// Accumulates a split_ranges piece back at `offset` (the piece's
-  /// bounds[s]): this[offset + i] += piece[i].  The merge kernel of the
-  /// sharded tree aggregation; merging every piece of a split into a zeroed
-  /// vector reproduces the source bit for bit.
-  void merge_from(const GradVector& piece, std::uint32_t offset);
-
   /// Materializes the dense equivalent (dim-sized).
   [[nodiscard]] DenseVector to_dense() const;
 

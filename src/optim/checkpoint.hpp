@@ -21,11 +21,11 @@
 // (seed, partition, seq), so the restored run must continue the seq stream
 // where the original left off, not restart it at zero.
 //
-// v1 files ("AMLCKPT1": update index + vectors only) still load; the v2-only
-// fields come back zero/empty.  Every malformed input — truncated file, bad
-// magic, a vector length that overruns the file — is a non-OK Status, never
-// a crash: claimed sizes are validated against the actual file size before
-// any allocation.
+// Only v2 and v3 files load; anything else (the retired v1 "AMLCKPT1"
+// layout included) is kInvalidArgument.  Every malformed input — truncated
+// file, bad magic, a vector length that overruns the file — is a non-OK
+// Status, never a crash: claimed sizes are validated against the actual file
+// size before any allocation.
 //
 // Format v3 ("AMLCKPT3", docs/DURABILITY.md): the checkpoint file shrinks to
 // a pointer — the disk-tier directory plus an advisory update index.  The
@@ -36,7 +36,7 @@
 // blob is quarantined by the blob store and the loader falls back to the
 // next older record — bit-exact, since *any* intact checkpoint k resumes
 // exactly at update k.  v3 is written by maybe_checkpoint when the store's
-// disk tier is enabled; v1/v2 files keep loading unchanged.
+// disk tier is enabled; v2 files keep loading unchanged.
 
 #include <cstdint>
 #include <map>
@@ -49,19 +49,19 @@ namespace asyncml::optim {
 
 struct SolverCheckpoint {
   std::uint64_t update_index = 0;
-  /// Coordinator model version at snapshot time (v2).
+  /// Coordinator model version at snapshot time.
   std::uint64_t model_version = 0;
-  /// Scheduler dispatch round — the per-partition seq counter (v2). Resuming
+  /// Scheduler dispatch round — the per-partition seq counter. Resuming
   /// from it keeps the deterministic (seed, partition, seq) batch stream
   /// aligned with the uninterrupted run.
   std::uint64_t round = 0;
   linalg::DenseVector model;
-  /// Named scalar counters (e.g. STAT totals) (v2).
+  /// Named scalar counters (e.g. STAT totals).
   std::map<std::string, std::uint64_t> counters;
   /// Named auxiliary vectors (e.g. SAGA's "alpha_bar", ADMM's duals).
   std::map<std::string, linalg::DenseVector> aux;
   /// Disk-tier directory this checkpoint was loaded from (v3 only; empty for
-  /// v1/v2). Informational — the resumed run re-opens the tier through its
+  /// v2). Informational — the resumed run re-opens the tier through its
   /// own StoreConfig.
   std::string store_dir;
 };

@@ -14,8 +14,10 @@
 // Scratch (row ids, margins, labels, coeffs, dense accumulators) comes from
 // the executor thread's support::ScratchArena and is reused across tasks.
 //
-// Bit-compatibility contract with the per-row path, relied on by the
-// fused/per-row property sweep and the fig3 1-worker bit-match check:
+// Bit-compatibility contract with the per-row reference ops
+// (detail::make_*_seq in solver_util.hpp), relied on by the task-level oracle
+// in tests/properties/batch_equivalence_test.cpp and the fig3 trajectory
+// bit-match in bench_micro_grad_batch:
 //   * mini-batch selection replays engine::sample_partition_rows (same RNG
 //     draws in the same order as Rdd::sample);
 //   * margins and coefficients use the identical scalar arithmetic

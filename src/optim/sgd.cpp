@@ -109,31 +109,8 @@ RunResult ScheduledSgdSolver::run(engine::Cluster& cluster, const Workload& work
                 return a.result.partition < b.result.partition;
               });
     GradCount total{linalg::GradVector(run.grad_cfg)};
-    if (config.combine_mode == core::CombineMode::kTree) {
-      // Tree aggregation through the live context (core/shard_route.hpp):
-      // partition-ordered partials reduce as log-depth combine tasks — per
-      // shard on a sharded plane — instead of one driver hot loop. Safe here
-      // because the round is fully collected (no foreign tasks in flight).
-      std::vector<linalg::GradVector> parts;
-      parts.reserve(results.size());
-      for (core::TaggedResult& r : results) {
-        GradCount gc = r.result.payload.get<GradCount>();
-        if (gc.count == 0) continue;
-        total.count += gc.count;
-        parts.push_back(std::move(gc.grad));
-      }
-      core::TreeCombineOptions tree;
-      tree.fanout = config.combine_fanout;
-      tree.seq = k;
-      tree.model_version = ac.current_version();
-      tree.rng_seed = config.seed;
-      total.grad = core::tree_combine_async(
-          ac, std::move(parts), ac.history().sharded_store().shard_map(), run.grad_cfg,
-          tree);
-    } else {
-      for (core::TaggedResult& r : results) {
-        total = comb(std::move(total), r.result.payload.get<GradCount>());
-      }
+    for (core::TaggedResult& r : results) {
+      total = comb(std::move(total), r.result.payload.get<GradCount>());
     }
     if (total.count > 0) {
       total.grad.scale_into(-config.step(k) / static_cast<double>(total.count),

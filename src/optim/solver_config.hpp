@@ -12,7 +12,6 @@
 
 #include "core/barrier.hpp"
 #include "core/scheduler.hpp"
-#include "core/shard_route.hpp"
 #include "linalg/grad_vector.hpp"
 #include "optim/step_size.hpp"
 #include "optim/workload.hpp"
@@ -100,26 +99,11 @@ struct SolverConfig {
   /// epoch; `updates` then counts total inner updates across epochs.
   std::uint64_t epoch_inner_updates = 50;
 
-  /// Fused batch gradient kernels (optim/grad_batch.hpp): one-pass margins
-  /// (gemv / row-slice spmv), loss-kind-dispatched batch derivative, and a
-  /// transposed accumulate with per-thread scratch reuse. Off = the per-row
-  /// seq-op pipeline streaming through the RDD sink chain. The two paths
-  /// are bit-identical by construction (the property sweep pins it), so
-  /// this is purely a compute-speed switch; off exists for reference
-  /// benchmarking and differential tests.
-  bool fused_kernels = true;
-
   /// Gradient accumulation representation. kAuto reads the workload's
-  /// dataset density (or `density_hint`) and starts sparse for sparse
-  /// datasets, so task results ship O(batch-support) bytes instead of dim×8.
+  /// dataset density and starts sparse for sparse datasets, so task results
+  /// ship O(batch-support) bytes instead of dim×8. Sparse accumulators
+  /// densify at linalg::kDefaultDensifyThreshold.
   linalg::GradMode grad_mode = linalg::GradMode::kAuto;
-
-  /// nnz/dim ratio at which sparse gradient accumulators densify.
-  double grad_densify_threshold = linalg::kDefaultDensifyThreshold;
-
-  /// Overrides the dataset density the kAuto choice reads; nullopt → the
-  /// solver propagates workload.dataset->density().
-  std::optional<double> density_hint;
 
   /// Delta-versioned model store behind ASYNCbroadcast: delta vs
   /// full-snapshot publishing, base-snapshot cadence, densify cutoff — and
@@ -127,19 +111,6 @@ struct SolverConfig {
   /// docs/SHARDING.md). Only read by solvers publishing through the
   /// AsyncContext.
   store::StoreConfig store_config;
-
-  /// How synchronous rounds fold their per-partition gradients
-  /// (docs/SHARDING.md): kDriver is the flat partition-ordered driver fold
-  /// (the historical reference trajectory); kTree runs log-depth combine
-  /// tasks through the async path (core/shard_route.hpp) — per-shard trees
-  /// on a sharded plane. Each mode is bit-identical across shard counts and
-  /// placements, but the two modes are distinct FP association orders, so
-  /// switching changes the trajectory like changing the seed would. Read by
-  /// the synchronous engine-path solvers (ScheduledSgd).
-  core::CombineMode combine_mode = core::CombineMode::kDriver;
-
-  /// Combine fan-in per tree task (kTree only; clamped to ≥ 2).
-  int combine_fanout = 4;
 
   /// Span-based telemetry (docs/TELEMETRY.md): per-task pipeline segments
   /// recorded into lock-free per-thread rings, harvested every
@@ -164,11 +135,9 @@ struct SolverConfig {
   [[nodiscard]] linalg::GradVectorConfig grad_config(
       std::size_t dim, double dataset_density,
       double expected_batch_rows = 1.0) const {
-    const double cell_density = density_hint.value_or(dataset_density);
     return linalg::resolve_grad_config(
         grad_mode, dim,
-        linalg::expected_union_density(cell_density, expected_batch_rows),
-        grad_densify_threshold);
+        linalg::expected_union_density(dataset_density, expected_batch_rows));
   }
 };
 

@@ -1,8 +1,8 @@
 #pragma once
 
 // Internals shared by the solvers: the SolverRun lifecycle (run-metric and
-// telemetry bookkeeping) and the gradient sequence operators (the `map`
-// bodies of Algorithms 1–4).
+// telemetry bookkeeping), the task bodies (the `map` of Algorithms 1–4) and
+// their per-row reference sequence operators.
 
 #include <algorithm>
 #include <concepts>
@@ -59,16 +59,14 @@ inline constexpr engine::Version kNeverVisited = core::kNeverVisited;
 /// as the read mask, so a 0.2%-density batch materializes only the shards its
 /// support hits instead of assembling all S.  Null when masking cannot help:
 /// an unsharded plane, or a dense dataset (every row touches every shard).
-/// The ShardMap here is a pure function of (dim, S, scheme) — identical to
+/// The ShardMap here is a pure function of (dim, S) — identical to
 /// the one the sharded store builds lazily at first publish.
 [[nodiscard]] inline std::shared_ptr<const std::vector<core::ShardSet>>
 shard_support_table(const Workload& workload, const SolverConfig& config) {
   if (config.store_config.num_shards <= 1 || workload.dataset->is_dense()) {
     return nullptr;
   }
-  const core::ShardMap map(static_cast<std::uint32_t>(workload.dim()),
-                           config.store_config.num_shards,
-                           config.store_config.shard_scheme);
+  const core::ShardMap map(workload.dim(), config.store_config.num_shards);
   if (map.num_shards() <= 1) return nullptr;
   const linalg::CsrMatrix& csr = workload.dataset->sparse_features();
   auto table = std::make_shared<std::vector<core::ShardSet>>();
@@ -439,8 +437,8 @@ inline int dispatch_live(core::AsyncContext& ac, const core::BarrierControl& bar
   return submitted;
 }
 
-/// Gradient-sum sequence op (the `map(p => ∇f_p(w_br.value))` of Algorithms
-/// 1–2), generic over the broadcast handle type (engine::Broadcast or
+/// Gradient-sum sequence op, per-row reference (the `map(p => ∇f_p(w_br.value))`
+/// of Algorithms 1–2), generic over the broadcast handle type (engine::Broadcast or
 /// core::HistoryBroadcast — both expose value()).  `grad_cfg` fixes the
 /// accumulator representation (see detail::grad_config); passing a bare dim
 /// yields the default sparse-start policy.
@@ -468,7 +466,7 @@ template <typename Handle>
   };
 }
 
-/// SAGA sequence op (the `map((index,p) => (∇f_p(w_br.value),
+/// SAGA sequence op, per-row reference (the `map((index,p) => (∇f_p(w_br.value),
 /// ∇f_p(w_br.value(index))))` of Algorithm 4): fresh gradient at the pinned
 /// model, historical gradient recomputed from the sample's last version, and
 /// the version table advanced to the pinned version.
@@ -530,72 +528,49 @@ template <typename Handle>
   };
 }
 
-// ---- task-body dispatch: fused batch kernels vs per-row reference ----------
+// ---- task bodies: the fused batch kernels (optim/grad_batch.hpp) -----------
 //
-// Every gradient-shipping solver builds its task bodies through these; the
-// SolverConfig::fused_kernels switch keeps the per-row pipeline alive as the
-// bit-compatible reference (property sweeps, micro benches).  `fraction`
-// engaged = mini-batch sample; nullopt = full partition pass (epoch heads).
+// Every gradient-shipping solver builds its task bodies through these.
+// `fraction` engaged = mini-batch sample; nullopt = full partition pass (epoch
+// heads). The per-row sequence ops above are the bit-identical reference the
+// fused bodies are checked against (tests/properties/batch_equivalence_test.cpp).
+// The SolverConfig parameter is unread; it keeps one call shape for every body.
 
 /// Gradient-sum task body (Algorithms 1–2).  `support` is the per-partition
-/// shard-support table (shard_support_table); the fused bodies use it to
-/// mask their model reads on a sharded plane, the per-row reference path
-/// ignores it (full materialization, bit-identical values either way).
+/// shard-support table (shard_support_table) that masks the model reads on a
+/// sharded plane.
 template <typename Handle>
 [[nodiscard]] std::shared_ptr<const engine::TaskFn> grad_task_fn(
-    const Workload& workload, const SolverConfig& config, Handle w_br,
+    const Workload& workload, const SolverConfig& /*config*/, Handle w_br,
     linalg::GradVectorConfig grad_cfg, std::optional<double> fraction,
     std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_grad_batch_fn(workload.dataset, workload.partitions, workload.loss,
-                              w_br, grad_cfg, fraction, std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradCount>(
-      rdd, GradCount{linalg::GradVector(grad_cfg)},
-      make_grad_seq(workload.loss, w_br, grad_cfg));
+  return make_grad_batch_fn(workload.dataset, workload.partitions, workload.loss, w_br,
+                            grad_cfg, fraction, std::move(support));
 }
 
 /// SAGA task body (Algorithm 4).
 [[nodiscard]] inline std::shared_ptr<const engine::TaskFn> saga_task_fn(
-    const Workload& workload, const SolverConfig& config, core::HistoryBroadcast w_br,
+    const Workload& workload, const SolverConfig& /*config*/, core::HistoryBroadcast w_br,
     std::shared_ptr<core::SampleVersionTable> table, linalg::GradVectorConfig grad_cfg,
     std::optional<double> fraction,
     std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_saga_batch_fn(
-        workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
-        grad_cfg, fraction,
-        [w_br](engine::Version v,
-               const core::ShardSet* mask) -> const linalg::DenseVector& {
-          return w_br.value_at(v, mask);
-        },
-        w_br.version(), std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradHist>(
-      rdd, GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-      make_saga_seq(workload.loss, w_br, std::move(table), grad_cfg));
+  return make_saga_batch_fn(
+      workload.dataset, workload.partitions, workload.loss, w_br, std::move(table),
+      grad_cfg, fraction,
+      [w_br](engine::Version v, const core::ShardSet* mask) -> const linalg::DenseVector& {
+        return w_br.value_at(v, mask);
+      },
+      w_br.version(), std::move(support));
 }
 
 /// SVRG inner task body (epoch VR).
 [[nodiscard]] inline std::shared_ptr<const engine::TaskFn> svrg_task_fn(
-    const Workload& workload, const SolverConfig& config, core::HistoryBroadcast w_br,
+    const Workload& workload, const SolverConfig& /*config*/, core::HistoryBroadcast w_br,
     core::HistoryBroadcast snapshot_br, linalg::GradVectorConfig grad_cfg,
     std::optional<double> fraction,
     std::shared_ptr<const std::vector<core::ShardSet>> support = nullptr) {
-  if (config.fused_kernels) {
-    return make_svrg_batch_fn(workload.dataset, workload.partitions, workload.loss,
-                              w_br, snapshot_br, grad_cfg, fraction,
-                              std::move(support));
-  }
-  const engine::Rdd<data::LabeledPoint> rdd =
-      fraction.has_value() ? workload.points.sample(*fraction) : workload.points;
-  return engine::make_aggregate_fn<data::LabeledPoint, GradHist>(
-      rdd, GradHist{linalg::GradVector(grad_cfg), linalg::GradVector(grad_cfg)},
-      make_svrg_seq(workload.loss, w_br, snapshot_br, grad_cfg));
+  return make_svrg_batch_fn(workload.dataset, workload.partitions, workload.loss, w_br,
+                            snapshot_br, grad_cfg, fraction, std::move(support));
 }
 
 }  // namespace asyncml::optim::detail

@@ -126,17 +126,17 @@ Status DiskTier::append_checkpoint(const CheckpointRecord& record) {
 }
 
 void DiskTier::lru_insert(const Sha256Digest& digest, std::vector<std::uint8_t> bytes) {
-  if (bytes.size() > cfg_.lru_bytes) return;  // would evict everything for one entry
+  if (bytes.size() > kLruBytes) return;  // would evict everything for one entry
   std::lock_guard lock(lru_mutex_);
   if (auto it = lru_index_.find(digest); it != lru_index_.end()) {
     lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency, same bytes
     return;
   }
-  lru_bytes_ += bytes.size();
+  lru_held_ += bytes.size();
   lru_.push_front(LruEntry{digest, std::move(bytes)});
   lru_index_[digest] = lru_.begin();
-  while (lru_bytes_ > cfg_.lru_bytes && !lru_.empty()) {
-    lru_bytes_ -= lru_.back().bytes.size();
+  while (lru_held_ > kLruBytes && !lru_.empty()) {
+    lru_held_ -= lru_.back().bytes.size();
     lru_index_.erase(lru_.back().digest);
     lru_.pop_back();
   }

@@ -23,6 +23,7 @@
 // has its own mutex, the blob store is internally synchronized); append_* are
 // driver-thread operations like ModelStore::publish.
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
 #include <memory>
@@ -41,6 +42,10 @@
 #include "support/status.hpp"
 
 namespace asyncml::store::disk {
+
+/// Byte budget of the in-memory LRU above the blob files; hot chain links and
+/// freshly written payloads are served from here without touching disk.
+inline constexpr std::size_t kLruBytes = std::size_t{64} << 20;
 
 enum class OpenMode : std::uint8_t {
   kFresh,   ///< rotate any existing manifest; start an empty log
@@ -122,7 +127,7 @@ class DiskTier {
   std::list<LruEntry> lru_;  ///< front = most recent
   std::unordered_map<support::Sha256Digest, std::list<LruEntry>::iterator, DigestHash>
       lru_index_;
-  std::size_t lru_bytes_ = 0;
+  std::size_t lru_held_ = 0;
 };
 
 }  // namespace asyncml::store::disk

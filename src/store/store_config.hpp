@@ -2,11 +2,8 @@
 
 // Configuration of the delta-versioned model store (src/store/).
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
-
-#include "core/shard_map.hpp"
 
 namespace asyncml::store {
 
@@ -20,10 +17,6 @@ struct DiskTierConfig {
   /// (in-flight writes, published by atomic rename), `quarantine/` (blobs
   /// that failed their integrity check), and the append-only `MANIFEST`.
   std::string dir;
-
-  /// Byte budget of the in-memory LRU above the blob files; hot chain links
-  /// and freshly written payloads are served from here without touching disk.
-  std::size_t lru_bytes = std::size_t{64} << 20;
 
   /// Attempts per blob operation on a *transient* error (kUnavailable —
   /// injected fail_write/fail_read or a real EINTR-ish failure). Corruption
@@ -62,10 +55,6 @@ struct StoreConfig {
   /// ShardedModelStore delegates wholesale to a single ModelStore and every
   /// trajectory is bit-exact with pre-sharding builds.  docs/SHARDING.md.
   std::uint32_t num_shards = 1;
-
-  /// Feature-index partitioning scheme (kRange enables tree aggregation and
-  /// memcpy extract/scatter; see core/shard_map.hpp).
-  core::ShardScheme shard_scheme = core::ShardScheme::kRange;
 
   /// Durable disk tier beneath the store. Write-through + read-fault-in only:
   /// a live run never *reads* from disk, so trajectories are bit-identical

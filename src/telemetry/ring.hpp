@@ -11,10 +11,13 @@
 //
 // Concurrency model: a single producer (the owning executor thread) and a
 // single logical consumer (harvests are serialized by TelemetryRecorder's
-// harvest mutex). Every slot word is a relaxed std::atomic so concurrent
+// harvest mutex). Every slot word is a std::atomic so concurrent
 // record/harvest is data-race-free under TSan; per-slot sequence numbers
 // (seqlock style, validated around the copy) discard records the producer
-// overwrote mid-read instead of surfacing torn traces.
+// overwrote mid-read instead of surfacing torn traces. Word stores are
+// release and word loads acquire (plain moves on x86), so a reader that sees
+// any word of a newer lap also sees that lap's odd sequence on its re-check;
+// no standalone fence is needed (GCC's TSan does not model fences).
 
 #include <atomic>
 #include <cstdint>
@@ -48,7 +51,7 @@ class TraceRing {
     std::uint64_t words[kTraceWords];
     pack(trace, words);
     for (std::size_t w = 0; w < kTraceWords; ++w) {
-      slot.words[w].store(words[w], std::memory_order_relaxed);
+      slot.words[w].store(words[w], std::memory_order_release);
     }
     slot.seq.store(2 * index + 2, std::memory_order_release);
     head_.store(index + 1, std::memory_order_release);
@@ -81,9 +84,8 @@ class TraceRing {
       }
       std::uint64_t words[kTraceWords];
       for (std::size_t w = 0; w < kTraceWords; ++w) {
-        words[w] = slot.words[w].load(std::memory_order_relaxed);
+        words[w] = slot.words[w].load(std::memory_order_acquire);
       }
-      std::atomic_thread_fence(std::memory_order_acquire);
       if (slot.seq.load(std::memory_order_relaxed) != seq_before) {
         stats.dropped += 1;  // producer lapped into the slot mid-copy
         continue;

@@ -125,7 +125,7 @@ Status lz4_decompress(std::span<const std::uint8_t> src, std::span<std::uint8_t>
     if (lit > dlen - op) {
       return Status(StatusCode::kInvalidArgument, "lz4: literal run past output end");
     }
-    std::memcpy(dst.data() + op, src.data() + ip, lit);
+    if (lit > 0) std::memcpy(dst.data() + op, src.data() + ip, lit);  // empty dst may be null
     ip += lit;
     op += lit;
 

@@ -134,8 +134,11 @@ Status decode_grad_vector(MsgReader& r, linalg::GradVector& out) {
     }
     linalg::GradVector g(
         linalg::GradVectorConfig(static_cast<std::size_t>(dim), threshold, start_dense));
-    g.assign_dense({reinterpret_cast<const double*>(val_bin.data()),
-                    static_cast<std::size_t>(dim)});
+    // The bin sits at an arbitrary byte offset in the frame: copy it out
+    // rather than read doubles through a misaligned pointer.
+    linalg::DenseVector values(static_cast<std::size_t>(dim));
+    if (dim > 0) std::memcpy(values.data(), val_bin.data(), val_bin.size());
+    g.assign_dense(values.span());
     out = std::move(g);
     return Status::ok();
   }

@@ -126,12 +126,14 @@ void v2_header(std::ofstream& out) {
 
 }  // namespace raw
 
-TEST(Checkpoint, V1FileStillLoads) {
+TEST(Checkpoint, V1FileIsRejected) {
+  // The retired v1 layout (update index + vectors, no version/round/counters)
+  // is a bad magic now, however well-formed the rest of the file is.
   const std::string path = temp_path("asyncml_ckpt_v1.bin");
   {
     std::ofstream out(path, std::ios::binary);
     out.write("AMLCKPT1", 8);
-    raw::u64(out, 55);  // update index; v1 has no version/round/counters
+    raw::u64(out, 55);  // update index
     raw::u32(out, 1);
     raw::name(out, "model");
     raw::u64(out, 2);
@@ -139,12 +141,8 @@ TEST(Checkpoint, V1FileStillLoads) {
     out.write(reinterpret_cast<const char*>(values), sizeof(values));
   }
   const auto loaded = load_checkpoint(path);
-  ASSERT_TRUE(loaded.is_ok()) << loaded.status().to_string();
-  EXPECT_EQ(loaded.value().update_index, 55u);
-  EXPECT_EQ(loaded.value().model_version, 0u);  // v2-only fields come back zero
-  EXPECT_EQ(loaded.value().round, 0u);
-  EXPECT_TRUE(loaded.value().counters.empty());
-  EXPECT_EQ(loaded.value().model, (linalg::DenseVector{4.0, 8.0}));
+  ASSERT_FALSE(loaded.is_ok());
+  EXPECT_EQ(loaded.status().code(), support::StatusCode::kInvalidArgument);
   std::filesystem::remove(path);
 }
 
